@@ -97,13 +97,13 @@ def test_ch_scalar_safety_rate(benchmark, family):
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor", "jump", "modulo"])
 def test_ch_batch_safety_rate(benchmark, family):
-    """Batched dataplane: the same keys in one lookup_with_safety_batch
+    """Batched dataplane: the same keys in one lookup_with_safety_batch_idx
     call -- every family now carries a real numpy kernel (searchsorted
     gathers for ring, active-mask wandering for anchor, argmax weights
     for hrw, table gathers for table-HRW); the pairing with the scalar
     case above is what makes the speedup visible in the timing table."""
     ch = _make_ch(family)
-    benchmark(ch.lookup_with_safety_batch, KEYS_ARR)
+    benchmark(ch.lookup_with_safety_batch_idx, KEYS_ARR)
 
 
 def test_ch_scalar_maglev_rate(benchmark):
@@ -119,30 +119,31 @@ def test_ch_scalar_maglev_rate(benchmark):
 
 
 def test_ch_batch_maglev_rate(benchmark):
-    """Maglev's batch kernel: two fancy-indexed gathers per batch."""
+    """Maglev's batch kernel: one fancy-indexed row gather per batch."""
     ch = _make_ch("maglev")
-    benchmark(ch.lookup_batch, KEYS_ARR)
+    benchmark(ch.lookup_batch_idx, KEYS_ARR)
 
 
 @pytest.mark.parametrize("family", ["hrw", "ring", "table", "anchor"])
 def test_jet_batch_dispatch_rate(benchmark, family):
-    """Full LB batch path: CT mask + vectorized CH + batch insert."""
+    """Full LB columnar path: CT id probe + integer CH kernel + batch
+    insert."""
     kwargs = {}
     if family == "table":
         kwargs["rows"] = rows_for(N)
     if family == "anchor":
         kwargs["capacity"] = 2 * (N + H_SIZE)
     lb = make_jet(family, WORKING, HORIZON, **kwargs)
-    lb.get_destinations_batch(KEYS_ARR)  # warm the CT with the unsafe keys
-    benchmark(lb.get_destinations_batch, KEYS_ARR)
+    lb.get_destinations_batch_idx(KEYS_ARR)  # warm the CT with the unsafe keys
+    benchmark(lb.get_destinations_batch_idx, KEYS_ARR)
 
 
 def test_full_ct_maglev_batch_dispatch_rate(benchmark):
     """The PR 2 regression case: full-CT over Maglev now rides the int32
     table kernel instead of paying batch bookkeeping for a scalar loop."""
     lb = make_full_ct("maglev", WORKING, table_size=65537)
-    lb.get_destinations_batch(KEYS_ARR)  # warm: every key tracked
-    benchmark(lb.get_destinations_batch, KEYS_ARR)
+    lb.get_destinations_batch_idx(KEYS_ARR)  # warm: every key tracked
+    benchmark(lb.get_destinations_batch_idx, KEYS_ARR)
 
 
 def test_dataplane_speedup_report(once, batch_sizes):

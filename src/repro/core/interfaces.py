@@ -25,55 +25,23 @@ class LoadBalancer(ABC):
     def get_destination(self, key_hash: int) -> Name:
         """Destination server for a packet of connection ``key_hash``."""
 
-    def get_destinations_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Destinations for a uint64 array of packet keys.
-
-        The batch contract: same destinations and same post-batch CT
-        key->destination mapping as dispatching the keys one by one
-        through :meth:`get_destination` (no backend change may occur
-        mid-batch).  This default *is* that scalar loop, so every LB --
-        including load-aware ones that never override it -- honours the
-        contract; JET/full-CT/stateless override it with a composed
-        CT-mask + vectorized-CH fast path.
-        """
-        found = [
-            self.get_destination(k)
-            for k in np.asarray(keys, dtype=np.uint64).tolist()
-        ]
-        out = np.empty(len(found), dtype=object)
-        out[:] = found
-        return out
-
-    @property
-    def batch_effective(self) -> bool:
-        """True iff :meth:`get_destinations_batch` actually vectorizes.
-
-        The never-slower probe for batch drivers (replay, the sim
-        engine's packet coalescing): when False, the batch path is the
-        scalar loop plus array packing, so drivers should skip batch
-        assembly entirely and dispatch scalar.  The default answers
-        "does this LB override the batch method at all?"; composed LBs
-        refine it with their runtime gates (CH kernel present, CT
-        reorder-safe, active cleanup).
-        """
-        return type(self).get_destinations_batch is not LoadBalancer.get_destinations_batch
-
     # ------------------------------------------------- columnar dispatch
     # The integer-index dataplane: destinations flow as int32 *backend
     # ids* (stable, LB-local, append-only -- see repro.core.indexing) and
     # names are materialized only at the metrics/result edge through
     # :meth:`dispatch_names`.  Drivers must probe
     # :attr:`columnar_effective` first; balancers that answer False keep
-    # these methods unimplemented and are served by the name/scalar paths.
+    # these methods unimplemented and are served by the scalar loop.
 
     @property
     def columnar_effective(self) -> bool:
         """True iff :meth:`get_destinations_batch_idx` is wired and fast.
 
-        Same never-slower philosophy as :attr:`batch_effective`, one
-        level up: the columnar path additionally needs an integer CH
-        kernel and an int-valued CT, so composed LBs gate on
-        ``has_index_kernel`` plus their CT/cleanup invariants.
+        The one probe that chooses between the two dispatch paths: when
+        False, ``replay_batch`` skips batch assembly and runs the scalar
+        :meth:`get_destination` loop, which is the executable spec.  Composed LBs answer True only with a real
+        integer CH kernel (``has_index_kernel``) plus their CT/cleanup
+        invariants, so the columnar path is never slower than scalar.
         """
         return False
 
@@ -81,11 +49,12 @@ class LoadBalancer(ABC):
         """Destination ids (int32, indices into :meth:`dispatch_names`)
         for a uint64 key array.
 
-        Contract: ``dispatch_names()[ids]`` equals
-        :meth:`get_destinations_batch` on the same keys, and ids are
-        stable across backend changes (an id keeps naming the same
-        server for the balancer's lifetime).  Only defined when
-        :attr:`columnar_effective` is True.
+        Contract: ``dispatch_names()[ids]`` equals dispatching the keys
+        one by one through :meth:`get_destination` -- same destinations
+        and same post-batch CT key->destination mapping (no backend change
+        may occur mid-batch) -- and ids are stable across backend changes
+        (an id keeps naming the same server for the balancer's lifetime).
+        Only defined when :attr:`columnar_effective` is True.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no columnar dispatch path"

@@ -54,18 +54,34 @@ class CTStats:
 def credit_repeat_hits(ct: "ConnectionTracker", inserted_keys: np.ndarray) -> None:
     """Credit within-chunk repeats of just-inserted keys as CT hits.
 
-    The batched dataplane probes a whole chunk before inserting its
+    The columnar dataplane probes a whole chunk before inserting its
     misses, so packets of a flow that entered the table earlier *in the
     same chunk* probe as misses -- where the scalar spec (get, then put,
     per packet) counts them as hits.  Crediting ``occurrences - unique``
     of the insert batch here makes hit totals chunk-size-invariant and
-    equal to the scalar loop.  Exact only because batch paths are gated
-    on ``batch_reorder_safe`` (unbounded tables): nothing can evict a
-    just-inserted key before its same-chunk repeats.
+    equal to the scalar loop.  Exact only because the columnar path is
+    gated on ``batch_reorder_safe`` (unbounded tables): nothing can evict
+    a just-inserted key before its same-chunk repeats.
     """
     repeats = len(inserted_keys) - len(np.unique(inserted_keys))
     if repeats:
         ct.stats.hits += repeats
+
+
+def require_reorder_safe(ct: "ConnectionTracker", active_cleanup: bool) -> None:
+    """Refuse a columnar (regrouped get/put) dispatch the table cannot serve.
+
+    The columnar dataplane probes a whole chunk and then inserts its
+    misses, which is only equal to the scalar spec on a table with no
+    recency or eviction state (``batch_reorder_safe``) and under active
+    cleanup (lazy validation interleaves a delete with each stale hit).
+    Anything else must fail loudly rather than silently reorder.
+    """
+    if not (ct.batch_reorder_safe and active_cleanup):
+        raise TypeError(
+            f"columnar dispatch needs a reorder-safe CT with active cleanup; "
+            f"got {type(ct).__name__} (active_cleanup={active_cleanup})"
+        )
 
 
 class ConnectionTracker(ABC):
@@ -73,9 +89,10 @@ class ConnectionTracker(ABC):
 
     #: True when batched get/put may regroup per-key operations (all gets,
     #: then all puts) without changing future behaviour.  Only tables with
-    #: no recency or eviction state can promise this; bounded tables keep
-    #: it False so the batch dataplane falls back to the exact scalar
-    #: interleaving and eviction order is preserved.
+    #: no recency or eviction state can promise this, and only those carry
+    #: the columnar ``*_idx`` entry points (:class:`~repro.ct.UnboundedCT`);
+    #: bounded tables keep it False and are served by the scalar loop, so
+    #: eviction order is preserved exactly.
     batch_reorder_safe = False
 
     def __init__(self) -> None:
@@ -88,76 +105,6 @@ class ConnectionTracker(ABC):
     @abstractmethod
     def put(self, key: int, destination: Destination) -> None:
         """Track ``key``'s destination, evicting if the table is full."""
-
-    def get_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Tracked destinations for a uint64 key array (None per miss).
-
-        Semantically ``[get(k) for k in keys]`` -- stats totals included;
-        this default is that loop.  Dict-backed tables override it to
-        shed the per-call method and stats overhead.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.empty(len(keys), dtype=object)
-        for i, k in enumerate(keys.tolist()):
-            out[i] = self.get(k)
-        return out
-
-    def put_batch(self, keys: np.ndarray, destinations: np.ndarray) -> None:
-        """Track every ``(key, destination)`` pair, in array order.
-
-        Semantically ``for k, d in zip(keys, destinations): put(k, d)``;
-        the default loop keeps eviction order byte-identical to the
-        scalar path on bounded tables.
-        """
-        for k, d in zip(np.asarray(keys, dtype=np.uint64).tolist(), destinations):
-            self.put(k, d)
-
-    # ------------------------------------------------- integer-index mode
-    # The columnar dataplane stores destinations as small ints (LB-local
-    # backend ids, see repro.core.indexing) instead of names.  A balancer
-    # switches a table to index mode by remapping the stored values once
-    # (:meth:`remap_values`); from then on the ``*_idx`` entry points
-    # move int32 arrays with -1 as the miss sentinel and no per-entry
-    # Python objects.  These defaults are the scalar spec; vectorized
-    # tables (UnboundedCT's open-addressing mirror) override them.
-
-    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Tracked destination *ids* for a uint64 key array (-1 per miss).
-
-        Semantically ``[get(k) for k in keys]`` with ``None -> -1``, for a
-        table whose stored values are ints; stats totals included.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        out = np.full(len(keys), -1, dtype=np.int32)
-        for i, k in enumerate(keys.tolist()):
-            destination = self.get(k)
-            if destination is not None:
-                out[i] = destination
-        return out
-
-    def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Track every ``(key, id)`` pair, in array order (int values)."""
-        for k, ident in zip(
-            np.asarray(keys, dtype=np.uint64).tolist(),
-            np.asarray(ids).tolist(),
-        ):
-            self.put(k, ident)
-
-    def remap_values(self, fn) -> None:
-        """Re-encode every stored destination through ``fn`` in place.
-
-        Used exactly once per table when a balancer's columnar path first
-        engages (name -> backend id).  Stats, recency order, and the key
-        set are untouched.  The default rewrites the ``_table`` dict every
-        dict-backed table in this package uses; exotic tables override.
-        """
-        table = getattr(self, "_table", None)
-        if table is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} does not support value remapping"
-            )
-        for key in table:
-            table[key] = fn(table[key])
 
     @abstractmethod
     def delete(self, key: int) -> bool:

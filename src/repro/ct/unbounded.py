@@ -38,7 +38,7 @@ class UnboundedCT(ConnectionTracker):
         super().__init__()
         self._table: Dict[int, Destination] = {}
         # Open-addressing mirror (only valid when not dirty; values are
-        # the int backend-ids of index mode -- see ConnectionTracker).
+        # the int backend-ids of index mode -- see below).
         self._mirror_keys: Optional[np.ndarray] = None
         self._mirror_vals: Optional[np.ndarray] = None
         self._mirror_used = 0
@@ -59,39 +59,21 @@ class UnboundedCT(ConnectionTracker):
         self._mirror_dirty = True
         self._note_size()
 
-    def get_batch(self, keys: np.ndarray) -> np.ndarray:
-        """One tight pass over the table; stats updated once per batch."""
-        table_get = self._table.get
-        found = [table_get(k) for k in np.asarray(keys, dtype=np.uint64).tolist()]
-        out = np.empty(len(found), dtype=object)
-        out[:] = found
-        self.stats.lookups += len(found)
-        self.stats.hits += len(found) - found.count(None)
-        return out
-
-    def put_batch(self, keys: np.ndarray, destinations: np.ndarray) -> None:
-        """Bulk insert; peak size is noted once (the table only grows)."""
-        table = self._table
-        inserts = 0
-        destinations = (
-            destinations.tolist()
-            if isinstance(destinations, np.ndarray)
-            else destinations
-        )
-        for k, d in zip(np.asarray(keys, dtype=np.uint64).tolist(), destinations):
-            if k not in table:
-                inserts += 1
-            table[k] = d
-        self.stats.inserts += inserts
-        self._mirror_dirty = True
-        self._note_size()
-
     # ------------------------------------------------- integer-index mode
-    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized probe of the numpy mirror (-1 per miss).
+    # The columnar dataplane stores destinations as small ints (LB-local
+    # backend ids, see repro.core.indexing) instead of names.  A balancer
+    # switches the table to index mode by remapping the stored values
+    # once (:meth:`remap_values`); from then on the ``*_idx`` entry
+    # points move int32 arrays with -1 as the miss sentinel.  Only this
+    # table has them: it is the only one whose gets and puts may be
+    # regrouped (``batch_reorder_safe``).
 
-        Semantically identical to the base scalar spec for int-valued
-        tables; stats are updated once per batch like :meth:`get_batch`.
+    def get_batch_idx(self, keys: np.ndarray) -> np.ndarray:
+        """Tracked destination *ids* for a uint64 key array (-1 per miss).
+
+        Semantically ``[get(k) for k in keys]`` with ``None -> -1`` for an
+        index-mode table, stats totals included (updated once per batch);
+        implemented as a vectorized probe of the numpy mirror.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
@@ -127,7 +109,7 @@ class UnboundedCT(ConnectionTracker):
         return out
 
     def put_batch_idx(self, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Bulk insert of int backend-ids.
+        """Track every ``(key, id)`` pair, in array order.
 
         The dict is updated first (authoritative, counts inserts); the
         mirror absorbs the same pairs incrementally when it is current, or
@@ -156,6 +138,11 @@ class UnboundedCT(ConnectionTracker):
         self._mirror_insert(keys, ids)
 
     def remap_values(self, fn) -> None:
+        """Re-encode every stored destination through ``fn`` in place.
+
+        Used exactly once per table when a balancer's columnar path first
+        engages (name -> backend id); stats and the key set are untouched.
+        """
         table = self._table
         for key in table:
             table[key] = fn(table[key])

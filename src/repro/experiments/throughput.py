@@ -3,10 +3,11 @@
 Measures the batch lookup path introduced by the vectorized dataplane
 against the scalar reference at two layers:
 
-- **CH layer**: ``lookup_with_safety_batch`` vs a ``lookup_with_safety``
-  loop for every horizon-aware CH family (HRW, table-HRW, ring, anchor,
-  jump, modulo, concury -- all vectorized), plus ``lookup_batch`` vs a
-  ``lookup`` loop for Maglev (no safety variant, Section 3.6);
+- **CH layer**: ``lookup_with_safety_batch_idx`` vs a
+  ``lookup_with_safety`` loop for every horizon-aware CH family (HRW,
+  table-HRW, ring, anchor, jump, modulo, concury -- all vectorized), plus
+  ``lookup_batch_idx`` vs a ``lookup`` loop for Maglev (no safety
+  variant, Section 3.6);
 - **LB/replay layer**: :func:`repro.traces.replay_batch` vs
   :func:`repro.traces.replay` over a Zipf trace for JET and the
   baselines.  Every balancer must satisfy the never-slower contract
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.ch import rows_for
-from repro.ch.base import HorizonConsistentHash, has_batch_kernel
+from repro.ch.base import HorizonConsistentHash, has_index_kernel
 from repro.ch.properties import sample_keys
 from repro.core.factories import make_ch, make_full_ct, make_jet
 from repro.core.stateless import StatelessLoadBalancer
@@ -53,7 +54,7 @@ from repro.traces import zipf_trace
 from repro.traces.replay import DEFAULT_CHUNK, replay, replay_batch
 
 #: Families swept at the CH layer.  "maglev" has no safety variant, so it
-#: is timed through plain ``lookup``/``lookup_batch``; "concury" is the
+#: is timed through plain ``lookup``/``lookup_batch_idx``; "concury" is the
 #: Othello perfect-mapping family (table-HRW inner, default flowsets).
 CH_SWEEP = ("hrw", "table", "ring", "anchor", "maglev", "jump", "modulo",
             "concury")
@@ -97,24 +98,25 @@ def _sweep_one(ch, family: str, repeats: int, keys: np.ndarray) -> dict:
     # Differential gate: a wrong batch path must never get timed.
     probe = keys[: min(512, batch_size)]
     if horizon_aware:
-        destinations, unsafe = ch.lookup_with_safety_batch(probe)
+        indices, unsafe = ch.lookup_with_safety_batch_idx(probe)
+        destinations = ch.backend_table()[indices]
         for i, k in enumerate(probe.tolist()):
             if (destinations[i], bool(unsafe[i])) != ch.lookup_with_safety(k):
                 raise AssertionError(f"{family}: batch diverges from scalar at key {k}")
         scalar_s = best_of(
             repeats, lambda: [ch.lookup_with_safety(k) for k in key_list]
         )
-        batch_s = best_of(repeats, lambda: ch.lookup_with_safety_batch(keys))
+        batch_s = best_of(repeats, lambda: ch.lookup_with_safety_batch_idx(keys))
     else:
-        destinations = ch.lookup_batch(probe)
+        destinations = ch.backend_table()[ch.lookup_batch_idx(probe)]
         for i, k in enumerate(probe.tolist()):
             if destinations[i] != ch.lookup(k):
                 raise AssertionError(f"{family}: batch diverges from scalar at key {k}")
         scalar_s = best_of(repeats, lambda: [ch.lookup(k) for k in key_list])
-        batch_s = best_of(repeats, lambda: ch.lookup_batch(keys))
+        batch_s = best_of(repeats, lambda: ch.lookup_batch_idx(keys))
     return {
         "family": family,
-        "vectorized": has_batch_kernel(ch),
+        "vectorized": has_index_kernel(ch),
         "batch_size": batch_size,
         "scalar_keys_per_s": batch_size / scalar_s,
         "batch_keys_per_s": batch_size / batch_s,
@@ -190,7 +192,7 @@ def run_replay_compare(
                 "pcc_violations": batch_result.pcc_violations,
                 "tracked_connections": batch_result.tracked_connections,
                 # Which dispatch path the batch rate measured: True means
-                # the integer-index columnar loop, False the object path.
+                # the integer-index columnar loop, False the scalar loop.
                 # check_against keys its pps floor off this flag.
                 "columnar": bool(getattr(batch_balancer, "columnar_effective", False)),
                 "chunk_size": DEFAULT_CHUNK,

@@ -26,8 +26,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-#: LB modes a scenario may select (registry names + the legacy alias).
-MODES = ("jet", "full", "stateless", "concury", "jet-p2c", "p2c")
+#: LB modes a scenario may select.
+MODES = ("jet", "full", "stateless", "concury", "jet-p2c")
 
 #: Timeline event kinds (see ``compile.py`` for their fault semantics).
 TIMELINE_KINDS = (

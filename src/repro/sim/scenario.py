@@ -51,7 +51,7 @@ class SimulationConfig:
     ct_capacity: Optional[int] = None  # None = unbounded
     ct_policy: str = "lru"  # lru | fifo | random | ttl
     ct_ttl: Optional[float] = None  # idle timeout for ct_policy="ttl"
-    mode: str = "jet"  # jet | full | stateless | p2c | jet-p2c | concury
+    mode: str = "jet"  # jet | full | stateless | jet-p2c | concury
     ch_family: str = "anchor"
     ch_kwargs: Dict = field(default_factory=dict)
     #: Per-server capacity weights (heterogeneous fleets); None = uniform.
@@ -71,8 +71,6 @@ class SimulationConfig:
     workload_seed: Optional[int] = None
     sample_interval: float = 1.0
     warmup_s: Optional[float] = None  # balance-metric warmup; default 20%
-    # Drain same-timestamp packet events through the LB's batch path.
-    coalesce_packets: bool = False
     arrival_rate: Optional[float] = None  # derived if None
     size_dist: Optional[Distribution] = None
     duration_dist: Optional[Distribution] = None
@@ -164,8 +162,7 @@ def build_balancer(config: SimulationConfig):
         return FullCTLoadBalancer(ch, ct), working, standby
     if config.mode == "stateless":
         return StatelessLoadBalancer(ch), working, standby
-    if config.mode in ("p2c", "jet-p2c"):
-        # "p2c" is the legacy alias; "jet-p2c" is the registry name.
+    if config.mode == "jet-p2c":
         return PowerOfTwoJET(ch, ct, weights=weights), working, standby
     raise ValueError(f"unknown mode {config.mode!r}")
 
@@ -215,7 +212,6 @@ def run_simulation(config: SimulationConfig) -> SimResult:
         sample_interval=config.sample_interval,
         warmup_s=config.warmup_s,
         injector=injector,
-        coalesce_packets=config.coalesce_packets,
         registry=config.registry,
         controller=controller,
         horizon_cap=max(config.horizon_size, 1),

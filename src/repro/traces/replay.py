@@ -76,6 +76,11 @@ def replay(
     ``events`` is an optional schedule of backend changes keyed by packet
     index (applied just before that packet is dispatched).
 
+    A flow whose destination moves is *inevitably broken* (§2.1: no LB
+    can keep it) iff its first destination was removed by an event after
+    the flow's first packet -- even if that backend was re-added before
+    the move -- and a PCC violation otherwise.
+
     ``metrics`` is an optional :class:`repro.obs.registry.Registry`.  All
     instrumentation happens *after* the dispatch loop (counters published
     from the loop's own tallies), so the loop is identical with metrics
@@ -113,10 +118,17 @@ def replay(
                 violations += 1
         wall = watch.stop()
     else:
+        # Events applied before each flow's first packet, and per backend
+        # the ordinal of the last event that removed it (see _classify).
+        start = [0] * trace.n_flows
+        removed_at: Dict[Name, int] = {}
         for packet_index, flow_index in enumerate(packet_flows):
             while next_event < len(event_queue) and event_queue[next_event][0] <= packet_index:
+                before = balancer.working
                 event_queue[next_event][1](balancer)
                 next_event += 1
+                for name in before - balancer.working:
+                    removed_at[name] = next_event
             previous = first_destination[flow_index]
             if syn_aware:
                 destination = get_destination(keys[flow_index], previous is None)
@@ -124,14 +136,15 @@ def replay(
                 destination = get_destination(keys[flow_index])
             if previous is None:
                 first_destination[flow_index] = destination
+                start[flow_index] = next_event
                 if note_flow_start is not None:
                     note_flow_start(destination)
             elif destination != previous and not broken[flow_index]:
                 broken[flow_index] = 1
-                if previous in balancer.working:
-                    violations += 1
-                else:
+                if removed_at.get(previous, 0) > start[flow_index]:
                     inevitable += 1
+                else:
+                    violations += 1
         wall = watch.stop()
 
     result = _build_result(trace, balancer, first_destination, violations, inevitable, wall)
@@ -293,87 +306,34 @@ def replay_batch(
     chunk_size: int = DEFAULT_CHUNK,
     metrics=None,
 ) -> ReplayResult:
-    """Replay ``trace`` through the LB's batched dispatch path.
+    """Replay ``trace`` through the LB's columnar dispatch path.
 
-    Packets are drained in chunks of ``chunk_size`` through
-    :meth:`~repro.core.interfaces.LoadBalancer.get_destinations_batch`;
-    chunks are split at every injected event's packet index so each
-    backend change still lands *between* batches, exactly where the
-    scalar loop applies it.  Metrics (violations, loads, tracked count)
-    are identical to :func:`replay` -- within a chunk no backend changes,
-    so a flow's destination cannot move mid-chunk and per-packet PCC
-    accounting commutes with batching.  Only the wall-clock rate differs.
+    Balancers whose ``columnar_effective`` probe answers True are drained
+    in chunks of ``chunk_size`` through
+    :meth:`~repro.core.interfaces.LoadBalancer.get_destinations_batch_idx`:
+    destinations flow as int32 backend ids, all PCC accounting runs on
+    preallocated numpy arrays, and names are resolved once at the result
+    edge -- zero Python objects per packet.  Chunks are split at every
+    injected event's packet index so each backend change still lands
+    *between* batches, exactly where the scalar loop applies it, and the
+    metrics (violations, inevitable breaks, loads, tracked count) are
+    identical to :func:`replay`; only the wall-clock rate differs.
 
-    SYN-aware balancers (Section 6.3) need a per-packet new-connection
-    flag, so they are delegated to the scalar loop unchanged -- as is any
-    balancer whose ``batch_effective`` probe reports no real vector path
-    (never-slower guarantee: batch assembly over a scalar-loop fallback
-    only adds overhead, the 0.75-0.82x regressions of the PR 2 bench).
-
-    Balancers whose ``columnar_effective`` probe answers True take the
-    fully columnar loop instead: destinations flow as int32 backend ids,
-    all PCC accounting runs on preallocated numpy arrays, and names are
-    resolved once at the result edge -- zero Python objects per packet.
+    Every other balancer runs the scalar :func:`replay` loop unchanged:
+    SYN-aware and load-aware balancers (Section 6.3) need per-packet
+    new-connection and flow-start signals, and a stack without a real
+    index kernel (or whose CT cannot regroup gets and puts) would only
+    add batch assembly to the scalar cost.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if getattr(balancer, "dispatches_new_connections", False):
-        return replay(trace, balancer, events, metrics=metrics)
     if (
-        getattr(balancer, "columnar_effective", False)
-        and getattr(balancer, "note_flow_start", None) is None
+        not getattr(balancer, "columnar_effective", False)
+        or getattr(balancer, "dispatches_new_connections", False)
+        or getattr(balancer, "note_flow_start", None) is not None
     ):
-        return _replay_columnar(trace, balancer, events, chunk_size, metrics)
-    if not getattr(balancer, "batch_effective", False):
         return replay(trace, balancer, events, metrics=metrics)
-
-    keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
-    packets = trace.packets
-    n_packets = len(packets)
-    first_destination: List[Optional[Name]] = [None] * trace.n_flows
-    broken = bytearray(trace.n_flows)
-    violations = 0
-    inevitable = 0
-    # The scalar hot path (no events) skips the working-set check and
-    # counts every mid-flow move as a violation; mirror that exactly.
-    check_working = bool(events)
-
-    event_queue = sorted(events, key=lambda ev: ev[0])
-    next_event = 0
-    note_flow_start = getattr(balancer, "note_flow_start", None)
-
-    watch = Stopwatch()
-    position = 0
-    while position < n_packets:
-        while next_event < len(event_queue) and event_queue[next_event][0] <= position:
-            event_queue[next_event][1](balancer)
-            next_event += 1
-        end = min(position + chunk_size, n_packets)
-        if next_event < len(event_queue):
-            end = min(end, event_queue[next_event][0])
-        flow_indices = packets[position:end]
-        destinations = balancer.get_destinations_batch(keys[flow_indices])
-        # tolist() once per chunk: per-item object-array indexing costs
-        # ~2x a plain list iteration and would eat the batch dividend for
-        # cheap-scalar stacks (full CT over Maglev).
-        for flow_index, destination in zip(flow_indices.tolist(), destinations.tolist()):
-            previous = first_destination[flow_index]
-            if previous is None:
-                first_destination[flow_index] = destination
-                if note_flow_start is not None:
-                    note_flow_start(destination)
-            elif destination != previous and not broken[flow_index]:
-                broken[flow_index] = 1
-                if not check_working or previous in balancer.working:
-                    violations += 1
-                else:
-                    inevitable += 1
-        position = end
-    wall = watch.stop()
-
-    result = _build_result(trace, balancer, first_destination, violations, inevitable, wall)
-    _publish_metrics(metrics, balancer, result, path="batch", n_events=len(event_queue))
-    return result
+    return _replay_columnar(trace, balancer, events, chunk_size, metrics)
 
 
 def _replay_columnar(
@@ -388,13 +348,13 @@ def _replay_columnar(
     First-destination, broken-flow, and violation accounting all run on
     preallocated int32/bool arrays keyed by backend id; each chunk is one
     ``get_destinations_batch_idx`` call plus a handful of vectorized
-    compares.  Metric equivalence with the scalar loop rests on the same
-    argument as the name batch path (no backend change lands mid-chunk)
-    plus two index-path facts: ids are stable across backend changes, and
-    all occurrences of a newly seen flow within one chunk resolve to the
-    same id (CT gets precede puts), so fancy assignment into ``first`` is
-    order-independent.  Names are materialized exactly once, at the
-    result edge, after the stopwatch stops.
+    compares.  Metric equivalence with the scalar loop rests on three
+    facts: no backend change lands mid-chunk, so a flow's destination
+    cannot move within a chunk; ids are stable across backend changes;
+    and all occurrences of a newly seen flow within one chunk resolve to
+    the same id (CT gets precede puts), so fancy assignment into
+    ``first`` is order-independent.  Names are materialized exactly once,
+    at the result edge, after the stopwatch stops.
     """
     keys = np.ascontiguousarray(trace.flow_keys, dtype=np.uint64)
     packets = trace.packets
@@ -403,25 +363,28 @@ def _replay_columnar(
     broken = np.zeros(trace.n_flows, dtype=bool)
     violations = 0
     inevitable = 0
-    # Mirror the scalar hot path exactly: without events every mid-flow
-    # move counts as a violation (no working-set check).
-    check_working = bool(events)
 
     event_queue = sorted(events, key=lambda ev: ev[0])
     next_event = 0
     n_events = len(event_queue)
+    if n_events:
+        # The scalar loop's inevitability rule, over ids: events applied
+        # before each flow's first packet, and per backend id the ordinal
+        # of the last event that removed it.
+        start = np.zeros(trace.n_flows, dtype=np.int32)
+        removed_at = np.zeros(0, dtype=np.int32)
     get_batch_idx = balancer.get_destinations_batch_idx
-    # id -> currently-working, cached between events (ids are stable, the
-    # working set only changes when an event fires).
-    working_mask: Optional[np.ndarray] = None
 
     watch = Stopwatch()
     position = 0
     while position < n_packets:
         while next_event < n_events and event_queue[next_event][0] <= position:
+            before = balancer.dispatch_working_mask()
             event_queue[next_event][1](balancer)
             next_event += 1
-            working_mask = None
+            gone = before & ~balancer.dispatch_working_mask()[: len(before)]
+            removed_at = _cover(removed_at, len(before))
+            removed_at[np.flatnonzero(gone)] = next_event
         end = min(position + chunk_size, n_packets)
         if next_event < n_events:
             end = min(end, event_queue[next_event][0])
@@ -430,20 +393,22 @@ def _replay_columnar(
         previous = first[flow_indices]
         unseen = previous < 0
         if unseen.any():
-            first[flow_indices[unseen]] = ids[unseen]
+            new_flows = flow_indices[unseen]
+            first[new_flows] = ids[unseen]
+            if n_events:
+                start[new_flows] = next_event
         moved = (ids != previous) & ~unseen
         if moved.any():
             moved_flows = flow_indices[moved]
             newly = np.unique(moved_flows[~broken[moved_flows]])
             if len(newly):
                 broken[newly] = True
-                if check_working:
-                    if working_mask is None:
-                        working_mask = balancer.dispatch_working_mask()
-                    still_working = working_mask[first[newly]]
-                    hits = int(still_working.sum())
-                    violations += hits
-                    inevitable += len(newly) - hits
+                if n_events:
+                    first_ids = first[newly]
+                    removed_at = _cover(removed_at, int(first_ids.max()) + 1)
+                    late = int((removed_at[first_ids] > start[newly]).sum())
+                    inevitable += late
+                    violations += len(newly) - late
                 else:
                     violations += len(newly)
         position = end
@@ -462,3 +427,13 @@ def _replay_columnar(
     result = _finalize(trace, balancer, loads, violations, inevitable, wall)
     _publish_metrics(metrics, balancer, result, path="columnar", n_events=n_events)
     return result
+
+
+def _cover(ordinals: np.ndarray, n_ids: int) -> np.ndarray:
+    """``ordinals`` zero-extended to cover at least ``n_ids`` backend ids
+    (ids are append-only, so the array only ever grows)."""
+    if len(ordinals) >= n_ids:
+        return ordinals
+    grown = np.zeros(n_ids, dtype=np.int32)
+    grown[: len(ordinals)] = ordinals
+    return grown

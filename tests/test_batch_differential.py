@@ -1,11 +1,10 @@
-"""Differential tests for the batched dataplane.
+"""Differential tests for the columnar dataplane.
 
-The scalar path is the executable spec: every batch entry point
-(CH ``lookup_batch``/``lookup_with_safety_batch``, CT ``get_batch``/
-``put_batch``, LB ``get_destinations_batch``, ``replay_batch``, and the
-engine's packet-coalescing mode) must reproduce the scalar results
-key-for-key -- destinations, unsafe flags, post-batch CT state, and
-replay/simulation metrics.
+The scalar path is the executable spec: every columnar entry point
+(CH ``lookup_batch_idx``/``lookup_with_safety_batch_idx``, CT
+``get_batch_idx``/``put_batch_idx``, LB ``get_destinations_batch_idx``,
+and ``replay_batch``) must reproduce the scalar results key-for-key --
+destinations, unsafe flags, post-batch CT state, and replay metrics.
 """
 
 import numpy as np
@@ -16,8 +15,8 @@ from repro.ch import (
     JET_FAMILIES,
     MaglevHash,
     ScalarTableHRW,
-    has_batch_kernel,
     has_index_kernel,
+    rows_for,
 )
 from repro.ch.properties import sample_keys
 from repro.core import (
@@ -27,17 +26,8 @@ from repro.core import (
     make_full_ct,
     make_jet,
 )
-from repro.ct import LRUCT, UnboundedCT
-from repro.sim import (
-    EventDrivenSimulation,
-    SimulationConfig,
-    WorkloadGenerator,
-    build_balancer,
-    hadoop_flow_duration,
-    hadoop_flow_size,
-    run_simulation,
-    server_downtime,
-)
+from repro.ct import FIFOCT, LRUCT, TTLCT, RandomEvictCT, UnboundedCT
+from repro.sim import SimulationConfig, run_simulation
 from repro.traces import replay, replay_batch, zipf_trace
 
 WORKING = [f"w{i}" for i in range(12)]
@@ -61,15 +51,23 @@ def build(family):
     return make_ch(family, WORKING, HORIZON, **kwargs)
 
 
+def lookup_names(ch, keys):
+    """``(names, unsafe)`` through the columnar kernel, decoded at the edge."""
+    idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+    assert idx.dtype == np.int32
+    return ch.backend_table()[idx], unsafe
+
+
 def assert_batch_matches_scalar(ch, keys):
     """Batch results must equal the scalar loop, key for key."""
-    destinations, unsafe = ch.lookup_with_safety_batch(keys)
+    idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+    assert idx.dtype == np.int32
     expected = [ch.lookup_with_safety(int(k)) for k in keys]
-    assert list(destinations) == [d for d, _ in expected]
+    assert list(ch.backend_table()[idx]) == [d for d, _ in expected]
     assert unsafe.dtype == bool
     assert unsafe.tolist() == [u for _, u in expected]
-    # lookup_batch is the destination column of the same computation.
-    assert list(ch.lookup_batch(keys)) == [d for d, _ in expected]
+    # lookup_batch_idx is the destination column of the same computation.
+    assert ch.lookup_batch_idx(keys).tolist() == idx.tolist()
 
 
 @pytest.fixture(params=ALL_FAMILIES)
@@ -83,10 +81,10 @@ class TestCHBatch:
 
     def test_empty_batch(self, family):
         ch = build(family)
-        destinations, unsafe = ch.lookup_with_safety_batch(np.empty(0, dtype=np.uint64))
+        destinations, unsafe = ch.lookup_with_safety_batch_idx(np.empty(0, dtype=np.uint64))
         assert len(destinations) == 0
         assert len(unsafe) == 0
-        assert len(ch.lookup_batch(np.empty(0, dtype=np.uint64))) == 0
+        assert len(ch.lookup_batch_idx(np.empty(0, dtype=np.uint64))) == 0
 
     def test_single_key_batch(self, family):
         ch = build(family)
@@ -107,8 +105,15 @@ class TestCHBatch:
     def test_accepts_plain_int_lists(self, family):
         ch = build(family)
         ints = [int(k) for k in KEYS[:32]]
-        destinations, _ = ch.lookup_with_safety_batch(ints)
+        destinations, _ = lookup_names(ch, ints)
         assert list(destinations) == [ch.lookup(k) for k in ints]
+
+
+def maglev_names(ch, keys):
+    """Maglev's index kernel decoded through its backend table."""
+    idx = ch.lookup_batch_idx(keys)
+    assert idx.dtype == np.int32
+    return ch.backend_table()[idx]
 
 
 class TestMaglevBatch:
@@ -116,23 +121,23 @@ class TestMaglevBatch:
 
     def test_matches_scalar(self):
         ch = MaglevHash(WORKING, table_size=251)
-        out = ch.lookup_batch(KEYS[:500])
+        out = maglev_names(ch, KEYS[:500])
         assert list(out) == [ch.lookup(int(k)) for k in KEYS[:500]]
 
     def test_empty_batch(self):
         ch = MaglevHash(WORKING, table_size=251)
-        assert len(ch.lookup_batch(np.empty(0, dtype=np.uint64))) == 0
+        assert len(ch.lookup_batch_idx(np.empty(0, dtype=np.uint64))) == 0
 
     def test_single_server_owns_every_row(self):
         ch = MaglevHash(["only"], table_size=251)
-        out = ch.lookup_batch(KEYS[:64])
+        out = maglev_names(ch, KEYS[:64])
         assert set(out.tolist()) == {"only"}
 
     def test_matches_scalar_after_churn(self):
         ch = MaglevHash(WORKING, table_size=251)
         ch.remove(WORKING[0])
         ch.add("fresh")
-        out = ch.lookup_batch(KEYS[:500])
+        out = maglev_names(ch, KEYS[:500])
         assert list(out) == [ch.lookup(int(k)) for k in KEYS[:500]]
 
     def test_empty_working_set_raises(self):
@@ -141,7 +146,7 @@ class TestMaglevBatch:
         ch = MaglevHash(["only"], table_size=251)
         ch.remove("only")
         with pytest.raises(BackendError):
-            ch.lookup_batch(KEYS[:4])
+            ch.lookup_batch_idx(KEYS[:4])
 
 
 class TestRingKernelEdges:
@@ -172,7 +177,7 @@ class TestRingKernelEdges:
         # One working server, many horizon vnodes: most merged-ring
         # entries are tracked horizon entries pointing at the lone worker.
         ch = make_ch(family, ["solo"], HORIZON, virtual_nodes=20)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
+        destinations, unsafe = lookup_names(ch, KEYS[:400])
         assert set(destinations.tolist()) == {"solo"}
         assert unsafe.any()
         assert_batch_matches_scalar(ch, KEYS[:400])
@@ -183,18 +188,18 @@ class TestRingKernelEdges:
         # the incremental variant); the *batch* call must be the one that
         # triggers the rebuild/kernel refresh and still match scalar.
         ch = build(family)
-        ch.lookup_with_safety_batch(KEYS[:100])  # warm the kernel arrays
+        ch.lookup_with_safety_batch_idx(KEYS[:100])  # warm the kernel arrays
         ch.remove_working(WORKING[0])
         fresh = build(family)
         fresh.remove_working(WORKING[0])
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
+        destinations, unsafe = lookup_names(ch, KEYS[:400])
         expected = [fresh.lookup_with_safety(int(k)) for k in KEYS[:400]]
         assert list(destinations) == [d for d, _ in expected]
         assert unsafe.tolist() == [u for _, u in expected]
 
     def test_single_server_no_horizon(self):
         ch = make_ch("ring", ["solo"], [], virtual_nodes=20)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:100])
+        destinations, unsafe = lookup_names(ch, KEYS[:100])
         assert set(destinations.tolist()) == {"solo"}
         assert not unsafe.any()
 
@@ -220,7 +225,7 @@ class TestRingKernelEdges:
 class TestAnchorKernelEdges:
     def test_single_working_bucket(self):
         ch = make_ch("anchor", ["solo"], HORIZON, capacity=32)
-        destinations, unsafe = ch.lookup_with_safety_batch(KEYS[:200])
+        destinations, unsafe = lookup_names(ch, KEYS[:200])
         assert set(destinations.tolist()) == {"solo"}
         assert_batch_matches_scalar(ch, KEYS[:200])
 
@@ -239,38 +244,39 @@ class TestCTBatch:
     def test_unbounded_batch_matches_scalar_twin(self):
         batched, scalar = UnboundedCT(), UnboundedCT()
         keys = KEYS[:400]
-        destinations = np.array([int(k) % 7 for k in keys], dtype=object)
-        batched.put_batch(keys, destinations)
-        for k, d in zip(keys.tolist(), destinations):
+        ids = np.array([int(k) % 7 for k in keys], dtype=np.int32)
+        batched.put_batch_idx(keys, ids)
+        for k, d in zip(keys.tolist(), ids.tolist()):
             scalar.put(k, d)
         probe = np.concatenate(
             [keys[:200], np.array(sample_keys(200, seed=8), dtype=np.uint64)]
         )
-        got = batched.get_batch(probe)
-        expected = [scalar.get(int(k)) for k in probe.tolist()]
-        assert list(got) == expected
+
+        def check(probe):
+            got = batched.get_batch_idx(probe)
+            expected = [scalar.get(int(k)) for k in probe.tolist()]
+            assert got.tolist() == [-1 if d is None else d for d in expected]
+
+        check(probe)  # builds the numpy mirror
+        # A second insert lands in the current mirror in place.
+        more = KEYS[400:500]
+        batched.put_batch_idx(more, np.full(len(more), 3, dtype=np.int32))
+        for k in more.tolist():
+            scalar.put(k, 3)
+        check(np.concatenate([probe, more]))
         assert dict(batched.items()) == dict(scalar.items())
         assert batched.stats == scalar.stats
 
     def test_bounded_fallback_preserves_eviction_order(self):
-        # LRUCT keeps batch_reorder_safe=False, so the default loops run;
-        # the recency order (and therefore who got evicted) must be
-        # byte-identical to the interleaved scalar sequence.
-        assert not LRUCT.batch_reorder_safe
-        batched, scalar = LRUCT(capacity=16), LRUCT(capacity=16)
-        keys = KEYS[:64]
-        destinations = np.array([int(k) % 5 for k in keys], dtype=object)
-        batched.put_batch(keys, destinations)
-        batched.get_batch(keys[10:40])
-        batched.put_batch(keys[:8], destinations[:8])
-        for k, d in zip(keys.tolist(), destinations):
-            scalar.put(k, d)
-        for k in keys[10:40].tolist():
-            scalar.get(k)
-        for k, d in zip(keys[:8].tolist(), destinations[:8]):
-            scalar.put(k, d)
-        assert list(batched.items()) == list(scalar.items())
-        assert batched.stats == scalar.stats
+        # Bounded tables have recency/eviction state, so they carry no
+        # batch entry points at all: nothing can regroup their gets and
+        # puts, and every balancer over them runs the scalar interleaving
+        # (see TestLBBatch.test_jet_bounded_ct_falls_back_to_scalar).
+        for table in (LRUCT(16), FIFOCT(16), RandomEvictCT(16, seed=1),
+                      TTLCT(ttl=5.0, capacity=16)):
+            assert not table.batch_reorder_safe
+            for method in ("get_batch_idx", "put_batch_idx", "remap_values"):
+                assert not hasattr(table, method), (type(table).__name__, method)
 
 
 def _lb_pair(maker):
@@ -278,11 +284,19 @@ def _lb_pair(maker):
     return maker(), maker()
 
 
+def _decode_idx_run(lb, keys):
+    """Dispatch through the integer path and decode at the edge."""
+    ids = lb.get_destinations_batch_idx(keys)
+    assert ids.dtype == np.int32
+    names = lb.dispatch_names()
+    return [names[i] for i in ids.tolist()]
+
+
 def assert_lb_batch_matches(batched, scalar, keys):
-    got = batched.get_destinations_batch(keys)
+    got = _decode_idx_run(batched, keys)
     expected = [scalar.get_destination(int(k)) for k in keys.tolist()]
-    assert list(got) == expected
-    assert dict(batched.ct.items()) == dict(scalar.ct.items())
+    assert got == expected
+    assert batched.tracked_items() == scalar.tracked_items()
 
 
 class TestLBBatch:
@@ -311,11 +325,16 @@ class TestLBBatch:
         assert_lb_batch_matches(batched, scalar, KEYS[:500])
 
     def test_jet_bounded_ct_falls_back_to_scalar(self):
+        trace = zipf_trace(skew=1.0, n_packets=5_000, population=1_000, seed=5)
         batched, scalar = _lb_pair(
             lambda: make_jet("hrw", WORKING, HORIZON, ct=LRUCT(capacity=32))
         )
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
-        # Fallback must preserve the LRU recency order exactly.
+        assert not batched.columnar_effective
+        batched.get_destinations_batch_idx = _forbidden_columnar
+        assert _replay_fields(replay_batch(trace, batched)) == _replay_fields(
+            replay(trace, scalar)
+        )
+        # The scalar route preserves the LRU recency order exactly.
         assert list(batched.ct.items()) == list(scalar.ct.items())
         assert batched.ct.stats == scalar.ct.stats
 
@@ -323,14 +342,38 @@ class TestLBBatch:
         def maker():
             return JETLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False)
 
+        trace = zipf_trace(skew=1.0, n_packets=5_000, population=1_000, seed=5)
+        events = [(2_000, lambda lb: lb.remove_working_server(WORKING[5]))]
         batched, scalar = _lb_pair(maker)
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
+        assert not batched.columnar_effective
         # Stale entries (lazy cleanup) are the reason this config must
         # take the scalar loop: per-key validation interleaves deletes.
-        for lb in (batched, scalar):
-            lb.remove_working_server(WORKING[5])
-        assert_lb_batch_matches(batched, scalar, KEYS[:400])
+        batched.get_destinations_batch_idx = _forbidden_columnar
+        assert _replay_fields(replay_batch(trace, batched, events)) == _replay_fields(
+            replay(trace, scalar, events)
+        )
+        assert dict(batched.ct.items()) == dict(scalar.ct.items())
         assert batched.ct.stats == scalar.ct.stats
+
+    @pytest.mark.parametrize(
+        "maker",
+        [
+            lambda: make_jet("hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)),
+            lambda: make_full_ct("table", WORKING, HORIZON, rows=389,
+                                 ct=LRUCT(capacity=32)),
+            lambda: JETLoadBalancer(build("hrw"), UnboundedCT(), active_cleanup=False),
+        ],
+        ids=["jet-lru", "full-ct-lru", "jet-lazy-cleanup"],
+    )
+    def test_columnar_dispatch_on_unsafe_ct_raises(self, maker):
+        # Calling the columnar entry point directly on a table it cannot
+        # serve must fail loudly, not silently regroup gets and puts (the
+        # regrouped LRU recency would diverge from the scalar eviction
+        # order).
+        lb = maker()
+        with pytest.raises(TypeError, match="reorder-safe"):
+            lb.get_destinations_batch_idx(KEYS[:64])
+        assert lb.tracked_connections == 0
 
     @pytest.mark.parametrize("family", ["maglev", "table"])
     def test_full_ct_batch_matches_scalar_twin(self, family):
@@ -345,12 +388,12 @@ class TestLBBatch:
     def test_stateless_batch_matches_scalar_twin(self):
         batched, scalar = _lb_pair(lambda: StatelessLoadBalancer(build("table")))
         keys = KEYS[:600]
-        got = batched.get_destinations_batch(keys)
-        assert list(got) == [scalar.get_destination(int(k)) for k in keys.tolist()]
+        got = _decode_idx_run(batched, keys)
+        assert got == [scalar.get_destination(int(k)) for k in keys.tolist()]
 
     def test_empty_batch(self):
         lb = make_jet("hrw", WORKING, HORIZON)
-        assert len(lb.get_destinations_batch(np.empty(0, dtype=np.uint64))) == 0
+        assert len(lb.get_destinations_batch_idx(np.empty(0, dtype=np.uint64))) == 0
 
 
 IDX_FAMILIES = ["hrw", "table", "ring", "anchor", "maglev", "jump", "modulo",
@@ -405,17 +448,9 @@ def _tracked(lb):
     return lb.tracked_items() if hasattr(lb, "tracked_items") else None
 
 
-def _decode_idx_run(lb, keys):
-    """Dispatch through the integer path and decode at the edge."""
-    ids = lb.get_destinations_batch_idx(keys)
-    assert ids.dtype == np.int32
-    names = lb.dispatch_names()
-    return [names[i] for i in ids.tolist()]
-
-
 class TestIndexKernels:
     """CH layer: ``backend_table()[lookup_batch_idx(keys)]`` must equal
-    ``lookup_batch(keys)`` element for element, for every family."""
+    the scalar ``lookup`` loop element for element, for every family."""
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_every_family_has_an_index_kernel(self, family):
@@ -429,18 +464,10 @@ class TestIndexKernels:
     def test_idx_matches_names(self, family):
         if family == "maglev":
             ch = MaglevHash(WORKING, table_size=251)
-            idx = ch.lookup_batch_idx(KEYS[:600])
-            assert idx.dtype == np.int32
-            assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:600]))
+            names = maglev_names(ch, KEYS[:600])
+            assert list(names) == [ch.lookup(int(k)) for k in KEYS[:600]]
             return
-        ch = build(family)
-        idx, unsafe_idx = ch.lookup_with_safety_batch_idx(KEYS[:600])
-        names, unsafe = ch.lookup_with_safety_batch(KEYS[:600])
-        assert idx.dtype == np.int32
-        assert list(ch.backend_table()[idx]) == list(names)
-        assert unsafe_idx.tolist() == unsafe.tolist()
-        # lookup_batch_idx is the destination column of the same kernel.
-        assert ch.lookup_batch_idx(KEYS[:600]).tolist() == idx.tolist()
+        assert_batch_matches_scalar(build(family), KEYS[:600])
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_idx_matches_names_after_churn(self, family):
@@ -448,20 +475,16 @@ class TestIndexKernels:
             ch = MaglevHash(WORKING, table_size=251)
             ch.remove(WORKING[0])
             ch.add("fresh")
-            idx = ch.lookup_batch_idx(KEYS[:400])
-            assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:400]))
+            names = maglev_names(ch, KEYS[:400])
+            assert list(names) == [ch.lookup(int(k)) for k in KEYS[:400]]
             return
         ch = build(family)
         victim = WORKING[-1]
         admit = victim if family == "jump" else HORIZON[0]
         ch.remove_working(victim)
-        idx, unsafe_idx = ch.lookup_with_safety_batch_idx(KEYS[:400])
-        names, unsafe = ch.lookup_with_safety_batch(KEYS[:400])
-        assert list(ch.backend_table()[idx]) == list(names)
-        assert unsafe_idx.tolist() == unsafe.tolist()
+        assert_batch_matches_scalar(ch, KEYS[:400])
         ch.add_working(admit)
-        idx, _ = ch.lookup_with_safety_batch_idx(KEYS[:400])
-        assert list(ch.backend_table()[idx]) == list(ch.lookup_batch(KEYS[:400]))
+        assert_batch_matches_scalar(ch, KEYS[:400])
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     def test_backend_table_identity_contract(self, family):
@@ -507,8 +530,8 @@ class TestIndexKernels:
 
 
 class TestColumnarLB:
-    """LB layer: index dispatch == name dispatch == scalar dispatch --
-    destinations AND post-run CT contents -- for 7 families x 3 modes."""
+    """LB layer: index dispatch == scalar dispatch -- destinations AND
+    post-run CT contents -- for 8 families x 4 modes."""
 
     @pytest.mark.parametrize("family", IDX_FAMILIES)
     @pytest.mark.parametrize("mode", LB_MODES)
@@ -516,15 +539,14 @@ class TestColumnarLB:
         reason = _skip_cell(family, mode)
         if reason:
             pytest.skip(reason)
-        idx_lb, name_lb, scalar_lb = (build_lb(family, mode) for _ in range(3))
+        idx_lb, scalar_lb = build_lb(family, mode), build_lb(family, mode)
         keys = KEYS[:800]
         got_idx = _decode_idx_run(idx_lb, keys)
-        got_name = list(name_lb.get_destinations_batch(keys))
         got_scalar = [scalar_lb.get_destination(int(k)) for k in keys.tolist()]
-        assert got_idx == got_name == got_scalar
+        assert got_idx == got_scalar
         # The CT (where one exists) must hold identical name mappings no
         # matter which representation the run used internally.
-        assert _tracked(idx_lb) == _tracked(name_lb) == _tracked(scalar_lb)
+        assert _tracked(idx_lb) == _tracked(scalar_lb)
         # Second pass re-reads the CT entries the first one wrote.
         assert _decode_idx_run(idx_lb, keys) == got_scalar
 
@@ -550,11 +572,12 @@ class TestColumnarLB:
         assert _tracked(idx_lb) == _tracked(scalar_lb)
 
     def test_mixed_mode_single_balancer(self):
-        # One balancer serving scalar, name-batch, and index-batch calls
-        # interleaved must stay consistent with a scalar-only twin.
+        # One balancer serving scalar calls before index mode engages,
+        # then index-batch and scalar calls interleaved, must stay
+        # consistent with a scalar-only twin.
         mixed, twin = build_lb("table", "jet"), build_lb("table", "jet")
         k1, k2, k3 = KEYS[:200], KEYS[200:400], KEYS[100:300]
-        assert list(mixed.get_destinations_batch(k1)) == [
+        assert [mixed.get_destination(int(k)) for k in k1.tolist()] == [
             twin.get_destination(int(k)) for k in k1.tolist()
         ]
         assert _decode_idx_run(mixed, k2) == [
@@ -588,59 +611,38 @@ class TestColumnarLB:
         assert out.dtype == np.int32 and len(out) == 0
 
 
+def _forbidden_columnar(keys):
+    raise AssertionError("columnar dispatch ran for a stack that cannot serve it")
+
+
 class TestNeverSlowerRouting:
-    """Capability probes: stacks without vector kernels must route
+    """The ``columnar_effective`` probe: stacks without a real index
+    kernel (or with a CT the columnar path cannot serve) must route
     straight through the scalar loop, never through batch assembly."""
-
-    def test_has_batch_kernel_probe(self):
-        # Every shipped family now has a kernel ...
-        for family in ALL_FAMILIES:
-            assert has_batch_kernel(build(family)), family
-        assert has_batch_kernel(MaglevHash(WORKING, table_size=251))
-        # ... and the loop-based reference transcription does not.
-        assert not has_batch_kernel(ScalarTableHRW(WORKING, HORIZON, rows=389))
-
-    def test_lb_batch_effective_probes(self):
-        scalar_ch = ScalarTableHRW(WORKING, HORIZON, rows=389)
-        assert not JETLoadBalancer(scalar_ch).batch_effective
-        assert not StatelessLoadBalancer(
-            ScalarTableHRW(WORKING, HORIZON, rows=389)
-        ).batch_effective
-        assert JETLoadBalancer(build("ring")).batch_effective
-        assert StatelessLoadBalancer(build("table")).batch_effective
-        # CT/cleanup gates fold into the same probe.
-        assert not make_jet(
-            "hrw", WORKING, HORIZON, ct=LRUCT(capacity=32)
-        ).batch_effective
-        assert not JETLoadBalancer(
-            build("hrw"), UnboundedCT(), active_cleanup=False
-        ).batch_effective
-        assert not make_full_ct(
-            "table", WORKING, HORIZON, rows=389, ct=LRUCT(capacity=32)
-        ).batch_effective
-        assert make_full_ct("maglev", WORKING, table_size=251).batch_effective
 
     def test_jet_scalar_ch_routes_through_scalar_loop(self):
         def maker():
             return JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
 
         batched, scalar = _lb_pair(maker)
-        # The composed path would call ct.get_batch; the scalar route
-        # never does.  Results must still match the scalar twin exactly.
-        def forbidden(keys):
-            raise AssertionError("batch assembly ran for a scalar-only CH")
+        assert not batched.columnar_effective
+        # Called directly anyway, the columnar entry point is served by
+        # the CH's scalar-spec default: one lookup_with_safety per miss.
+        calls = []
+        lookup_with_safety = batched.ch.lookup_with_safety
 
-        batched.ct.get_batch = forbidden
+        def counting(key):
+            calls.append(key)
+            return lookup_with_safety(key)
+
+        batched.ch.lookup_with_safety = counting
         assert_lb_batch_matches(batched, scalar, KEYS[:300])
+        assert len(calls) == 300
 
     def test_replay_batch_delegates_for_scalar_only_stack(self):
         trace = zipf_trace(skew=1.0, n_packets=5_000, population=1_000, seed=13)
         balancer = JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
-
-        def forbidden(keys):
-            raise AssertionError("replay_batch assembled batches without a kernel")
-
-        balancer.get_destinations_batch = forbidden
+        balancer.get_destinations_batch_idx = _forbidden_columnar
         batched = replay_batch(trace, balancer)
         scalar = replay(
             trace, JETLoadBalancer(ScalarTableHRW(WORKING, HORIZON, rows=389))
@@ -692,103 +694,31 @@ class TestReplayBatch:
         with pytest.raises(ValueError):
             replay_batch(self.TRACE, StatelessLoadBalancer(build("hrw")), chunk_size=0)
 
+    def test_readded_backend_breaks_are_inevitable(self):
+        # Section 2.1: a flow whose backend is removed is inevitably
+        # broken, even when the backend is re-added before the flow's
+        # next packet.  Remove s0..s19 at 20 even steps and re-add each
+        # halfway to the next: no move may count as a PCC violation.
+        working = [f"s{i}" for i in range(50)]
+        horizon = [f"h{i}" for i in range(20)]
+        trace = zipf_trace(skew=1.0, n_packets=200_000, population=50_000, seed=1)
+        step = trace.n_packets // 20
+        events = []
+        for i in range(20):
+            name = working[i]
+            events.append((i * step, lambda lb, n=name: lb.remove_working_server(n)))
+            events.append(
+                (i * step + step // 2, lambda lb, n=name: lb.add_working_server(n))
+            )
 
-class QuantizedWorkload(WorkloadGenerator):
-    """Workload with all event times floored to a coarse tick.
+        def build_jet():
+            return make_jet("table", working, horizon, rows=rows_for(70))
 
-    The base generator draws continuous times, so exact same-timestamp
-    packet ties (what the engine's coalescing mode batches) almost never
-    occur.  Flooring arrival gaps and per-flow packet offsets onto a grid
-    makes ties abundant while keeping every packet inside its flow's
-    lifetime (floor never moves a time later).
-    """
-
-    TICK = 0.05
-
-    def next_arrival_gap(self):
-        gap = super().next_arrival_gap()
-        return max(self.TICK, int(gap / self.TICK) * self.TICK)
-
-    def make_flow(self, now):
-        flow = super().make_flow(now)
-        tick = self.TICK
-        flow.packet_times = [
-            now + int((t - now) / tick) * tick for t in flow.packet_times
-        ]
-        return flow
-
-
-class TestEngineCoalescing:
-    CONFIG = SimulationConfig(
-        duration_s=30.0,
-        n_servers=8,
-        horizon_size=2,
-        update_rate_per_min=20.0,
-        mode="jet",
-        ch_family="table",
-        ch_kwargs={"rows": 389},
-        seed=3,
-    )
-
-    def _run(self, coalesce):
-        balancer, working, standby = build_balancer(self.CONFIG)
-        workload = QuantizedWorkload(
-            arrival_rate=30.0,
-            size_dist=hadoop_flow_size(),
-            duration_dist=hadoop_flow_duration(),
-            seed=self.CONFIG.seed,
-        )
-        sim = EventDrivenSimulation(
-            balancer=balancer,
-            workload=workload,
-            working_servers=working,
-            standby_servers=standby,
-            duration_s=self.CONFIG.duration_s,
-            update_rate_per_min=self.CONFIG.update_rate_per_min,
-            downtime_dist=server_downtime(),
-            seed=self.CONFIG.seed,
-            coalesce_packets=coalesce,
-        )
-        batch_sizes = []
-        original = balancer.get_destinations_batch
-        original_idx = balancer.get_destinations_batch_idx
-
-        def spy(keys):
-            batch_sizes.append(len(keys))
-            return original(keys)
-
-        def spy_idx(keys):
-            # The engine prefers the columnar entry point when the LB
-            # offers one; both count as batched dispatch.
-            batch_sizes.append(len(keys))
-            return original_idx(keys)
-
-        balancer.get_destinations_batch = spy
-        balancer.get_destinations_batch_idx = spy_idx
-        return sim.run(), batch_sizes
-
-    def test_coalesced_run_matches_scalar_run(self):
-        scalar, _ = self._run(coalesce=False)
-        coalesced, batch_sizes = self._run(coalesce=True)
-        # The quantized workload must actually produce multi-packet ties,
-        # otherwise this test proves nothing.
-        assert batch_sizes and max(batch_sizes) >= 2
-        for field in (
-            "pcc_violations",
-            "inevitably_broken",
-            "flows_started",
-            "flows_completed",
-            "packets_processed",
-            "removals",
-            "additions",
-            "peak_tracked",
-            "final_tracked",
-            "tracked_series",
-            "sample_times",
-            "oversubscription_series",
-            "max_oversubscription",
-        ):
-            assert getattr(coalesced, field) == getattr(scalar, field), field
+        scalar = replay(trace, build_jet(), events)
+        columnar = replay_batch(trace, build_jet(), events)
+        assert _replay_fields(columnar) == _replay_fields(scalar)
+        assert scalar.pcc_violations == 0
+        assert scalar.inevitably_broken > 0
 
 
 def test_samples_stop_at_duration():

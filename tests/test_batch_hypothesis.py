@@ -1,11 +1,13 @@
-"""Property-based differential tests for the batch lookup path.
+"""Property-based differential tests for the columnar lookup path.
 
 For every registered CH family (the paper's four JET families, the
-incremental-ring variant, and the jump/modulo extensions), under random
-working/horizon sets and random key batches -- including the empty batch
-and single-key batches -- the vectorized ``lookup_batch`` /
-``lookup_with_safety_batch`` must agree with the scalar reference,
-key for key, before and after backend churn.
+incremental-ring variant, and the jump/modulo/concury extensions), under
+random working/horizon sets and random key batches -- including the
+empty batch and single-key batches -- the integer kernels
+``lookup_batch_idx`` / ``lookup_with_safety_batch_idx``, decoded through
+``backend_table()``, must agree with the scalar reference key for key,
+before and after backend churn; so must JET's columnar dispatch over each
+family, CT contents included.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.ch import (
     RingHash,
     TableHRWHash,
 )
+from repro.core import JETLoadBalancer, make_full_ct
 from repro.hashing.mix import MASK64
 
 keys64 = st.integers(min_value=0, max_value=MASK64)
@@ -50,13 +53,25 @@ def build(family, working, horizon):
 
 def assert_batch_equals_scalar(ch, key_sample):
     keys = np.array(key_sample, dtype=np.uint64)
-    destinations, unsafe = ch.lookup_with_safety_batch(keys)
-    assert len(destinations) == len(key_sample)
+    idx, unsafe = ch.lookup_with_safety_batch_idx(keys)
+    assert idx.dtype == np.int32
+    assert len(idx) == len(key_sample)
     assert len(unsafe) == len(key_sample)
     expected = [ch.lookup_with_safety(k) for k in key_sample]
-    assert list(destinations) == [d for d, _ in expected]
+    assert list(ch.backend_table()[idx]) == [d for d, _ in expected]
     assert unsafe.tolist() == [u for _, u in expected]
-    assert list(ch.lookup_batch(keys)) == [d for d, _ in expected]
+    assert ch.lookup_batch_idx(keys).tolist() == idx.tolist()
+
+
+def assert_lb_columnar_equals_scalar(columnar, scalar, key_sample):
+    """Columnar dispatch decoded at the edge == the scalar twin, CT included."""
+    ids = columnar.get_destinations_batch_idx(np.array(key_sample, dtype=np.uint64))
+    names = columnar.dispatch_names()
+    assert [names[i] for i in ids.tolist()] == [
+        scalar.get_destination(k) for k in key_sample
+    ]
+    if hasattr(scalar, "tracked_items"):
+        assert columnar.tracked_items() == scalar.tracked_items()
 
 
 class TestBatchEqualsScalarEverywhere:
@@ -101,21 +116,15 @@ class TestBatchEqualsScalarEverywhere:
 
 
 class TestIndexKernelProperties:
-    """The integer twin under the same randomization: for every family,
-    ``backend_table()[lookup_batch_idx(keys)]`` must equal
-    ``lookup_batch(keys)`` (and the safety masks must agree) under random
-    membership, random key batches, and churn."""
+    """One layer up under the same randomization: JET's columnar dispatch
+    over every family must equal a scalar-driven twin -- destinations and
+    tracked CT contents -- under random membership, random key batches
+    (repeats included), and churn."""
 
     @staticmethod
-    def _assert_idx_equals_names(ch, key_sample):
-        keys = np.array(key_sample, dtype=np.uint64)
-        idx, unsafe_idx = ch.lookup_with_safety_batch_idx(keys)
-        names, unsafe = ch.lookup_with_safety_batch(keys)
-        assert idx.dtype == np.int32
-        table = ch.backend_table()
-        assert list(table[idx]) == list(names)
-        assert unsafe_idx.tolist() == unsafe.tolist()
-        assert ch.lookup_batch_idx(keys).tolist() == idx.tolist()
+    def _pair(family, working, horizon):
+        return (JETLoadBalancer(build(family, working, horizon)),
+                JETLoadBalancer(build(family, working, horizon)))
 
     @given(
         family=st.sampled_from(ALL_FAMILIES),
@@ -127,7 +136,10 @@ class TestIndexKernelProperties:
     def test_fresh_instance(self, family, n_working, n_horizon, key_sample):
         working = [f"w{i}" for i in range(n_working)]
         horizon = [f"h{i}" for i in range(n_horizon)]
-        self._assert_idx_equals_names(build(family, working, horizon), key_sample)
+        columnar, scalar = self._pair(family, working, horizon)
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
+        # A second pass re-reads the CT entries the first one wrote.
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
 
     @given(
         family=st.sampled_from(ALL_FAMILIES),
@@ -139,13 +151,16 @@ class TestIndexKernelProperties:
     def test_after_churn(self, family, n_working, n_horizon, key_sample):
         working = [f"w{i}" for i in range(n_working)]
         horizon = [f"h{i}" for i in range(n_horizon)]
-        ch = build(family, working, horizon)
+        columnar, scalar = self._pair(family, working, horizon)
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
         victim = working[-1]
         admit = victim if family == "jump" else horizon[0]
-        ch.remove_working(victim)
-        self._assert_idx_equals_names(ch, key_sample)
-        ch.add_working(admit)
-        self._assert_idx_equals_names(ch, key_sample)
+        for lb in (columnar, scalar):
+            lb.remove_working_server(victim)
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
+        for lb in (columnar, scalar):
+            lb.add_working_server(admit)
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
 
     @given(
         n_working=st.integers(min_value=1, max_value=10),
@@ -165,7 +180,8 @@ class TestIndexKernelProperties:
 
 
 class TestMaglevBatchProperties:
-    """Maglev has no safety variant; hold lookup_batch to the lookup loop."""
+    """Maglev has no safety variant; hold full-CT columnar dispatch over
+    it to a scalar-driven twin."""
 
     @given(
         n_working=st.integers(min_value=1, max_value=10),
@@ -174,12 +190,15 @@ class TestMaglevBatchProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_batch_equals_scalar(self, n_working, key_sample, churn):
-        ch = MaglevHash([f"w{i}" for i in range(n_working)], table_size=251)
+        working = [f"w{i}" for i in range(n_working)]
+        columnar, scalar = (make_full_ct("maglev", working, table_size=251)
+                            for _ in range(2))
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
         if churn:
-            ch.add("fresh")
-            ch.remove("w0")
-        keys = np.array(key_sample, dtype=np.uint64)
-        assert list(ch.lookup_batch(keys)) == [ch.lookup(k) for k in key_sample]
+            for lb in (columnar, scalar):
+                lb.add_working_server("fresh")
+                lb.remove_working_server("w0")
+        assert_lb_columnar_equals_scalar(columnar, scalar, key_sample)
 
 
 class TestRingBoundaryKeys:

@@ -5,7 +5,7 @@ The contract the whole obs layer rests on: ``replay(metrics=None)``
 (uninstrumented), ``replay(metrics=NULL)`` (instrumented code path, no-op
 registry), and ``replay(metrics=Registry())`` (live telemetry) produce
 byte-identical routing decisions, PCC accounting, and post-run CT state
--- across every balancer stack, through both scalar and batched replay,
+-- across every balancer stack, through both scalar and columnar replay,
 in the event-driven engine, and (via hypothesis) under arbitrary
 injected churn schedules.
 """
@@ -45,8 +45,8 @@ def _fingerprint(balancer, result):
     """Everything a run decided: per-flow loads, accounting, CT contents.
 
     CT contents go through ``tracked_items`` where available: it decodes
-    the columnar path's integer-index storage back to names, so scalar,
-    name-batch, and index-batch runs fingerprint identically.
+    the columnar path's integer-index storage back to names, so scalar
+    and columnar runs fingerprint identically.
     """
     ct = getattr(balancer, "ct", None)
     if hasattr(balancer, "tracked_items"):
@@ -204,10 +204,4 @@ class TestEngineDifferential:
 
         plain = run_simulation(config(None))
         live = run_simulation(config(Registry()))
-        assert self._stable_fields(live) == self._stable_fields(plain)
-
-    def test_batched_engine_identical_with_registry(self):
-        base = dict(self.CONFIG, coalesce_packets=True)
-        plain = run_simulation(SimulationConfig(**base))
-        live = run_simulation(SimulationConfig(**base, registry=Registry()))
         assert self._stable_fields(live) == self._stable_fields(plain)

@@ -119,13 +119,13 @@ class TestColumnarEquivalence:
         registry.collect()
         assert registry.value(M.DISPATCH_PACKETS, path="columnar") == TRACE.n_packets
 
-    def test_columnar_run_never_touches_name_batch(self):
+    def test_columnar_run_never_touches_scalar_path(self):
         lb = build_lb("table", "jet")
 
-        def forbidden(keys):
-            raise AssertionError("columnar replay fell back to the name batch path")
+        def forbidden(key):
+            raise AssertionError("columnar replay fell back to the scalar loop")
 
-        lb.get_destinations_batch = forbidden
+        lb.get_destination = forbidden
         result = replay_batch(TRACE, lb)
         assert result.n_packets == TRACE.n_packets
 

@@ -76,6 +76,8 @@ class TestStrictParsing:
     def test_bad_mode_lists_choices(self):
         err = expect_error(spec_dict(mode="magic"), ".mode")
         assert "jet" in str(err) and "concury" in str(err)
+        # The legacy "p2c" alias is gone; only "jet-p2c" names that mode.
+        expect_error(spec_dict(mode="p2c"), ".mode")
 
     def test_zone_total_contradiction(self):
         data = spec_dict()

@@ -121,7 +121,7 @@ class TestModes:
 
     def test_p2c_mode_runs_and_tracks_more_than_jet(self):
         cfg = BASE.with_(duration_s=10.0, update_rate_per_min=0.0)
-        p2c = run_simulation(cfg.with_(mode="p2c"))
+        p2c = run_simulation(cfg.with_(mode="jet-p2c"))
         jet = run_simulation(cfg.with_(mode="jet"))
         assert p2c.pcc_violations == 0
         assert p2c.peak_tracked > jet.peak_tracked
